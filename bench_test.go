@@ -131,16 +131,10 @@ func BenchmarkPolicyAccess(b *testing.B) {
 // concurrent-qdlp.
 func BenchmarkThroughput(b *testing.B) {
 	const capacity, shards, keySpace = 1 << 15, 16, 1 << 16
-	mk := map[string]func() (concurrent.Cache, error){
-		"lru":   func() (concurrent.Cache, error) { return concurrent.NewLRU(capacity, shards) },
-		"clock": func() (concurrent.Cache, error) { return concurrent.NewClock(capacity, shards, 2) },
-		"qdlp":  func() (concurrent.Cache, error) { return concurrent.NewQDLP(capacity, shards) },
-		"sieve": func() (concurrent.Cache, error) { return concurrent.NewSieve(capacity, shards) },
-	}
 	for _, name := range []string{"lru", "clock", "qdlp", "sieve"} {
 		name := name
 		b.Run(name, func(b *testing.B) {
-			c, err := mk[name]()
+			c, err := concurrent.New(name, capacity, concurrent.WithShards(shards))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -167,10 +161,10 @@ func BenchmarkThroughput(b *testing.B) {
 // updates) from CLOCK (one atomic store).
 func BenchmarkHitPath(b *testing.B) {
 	const capacity, shards = 1 << 12, 16
-	lru, _ := concurrent.NewLRU(capacity, shards)
-	clock, _ := concurrent.NewClock(capacity, shards, 2)
-	qdlp, _ := concurrent.NewQDLP(capacity, shards)
-	sieve, _ := concurrent.NewSieve(capacity, shards)
+	lru, _ := concurrent.New("lru", capacity, concurrent.WithShards(shards))
+	clock, _ := concurrent.New("clock", capacity, concurrent.WithShards(shards))
+	qdlp, _ := concurrent.New("qdlp", capacity, concurrent.WithShards(shards))
+	sieve, _ := concurrent.New("sieve", capacity, concurrent.WithShards(shards))
 	for _, tc := range []struct {
 		name  string
 		cache concurrent.Cache

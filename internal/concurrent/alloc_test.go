@@ -14,7 +14,7 @@ import (
 
 func allocKV(t testing.TB) *KV {
 	t.Helper()
-	inner, err := NewClock(4096, 4, 2)
+	inner, err := New("clock", 4096, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +131,56 @@ func TestKVSetAtMostOneAlloc(t *testing.T) {
 	}
 }
 
+// The policy plane itself: on a full, warmed cache a Set that misses and
+// evicts (or, for qdlp, demotes to the ghost) and a Get that hits make no
+// allocation in either budget unit — freed arena nodes and ghost entries
+// are reused, and the index maps are pointer-free.
+func TestCacheSetZeroAllocs(t *testing.T) {
+	const objects, cost = 4096, 100
+	for _, name := range Names() {
+		for _, bytes := range []bool{false, true} {
+			capacity, value, opts := objects, uint64(1), []Option{WithShards(4)}
+			if bytes {
+				capacity, value = 0, cost
+				opts = append(opts, WithMaxBytes(objects*cost))
+			}
+			c, err := New(name, capacity, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(c.Name(), func(t *testing.T) {
+				key := uint64(0)
+				for ; key < 8*objects; key++ { // fill the cache and the ghost
+					c.Set(key, value)
+				}
+				if avg := testing.AllocsPerRun(2000, func() {
+					key++
+					c.Set(key, value)
+				}); avg != 0 {
+					t.Errorf("evicting Set allocates %.2f/op, want 0", avg)
+				}
+				if c.Stats().Evictions == 0 {
+					t.Fatal("warm-up never evicted")
+				}
+				resident := key
+				if avg := testing.AllocsPerRun(2000, func() {
+					if _, ok := c.Get(resident); !ok {
+						t.Fatal("hit lost")
+					}
+				}); avg != 0 {
+					t.Errorf("hit Get allocates %.2f/op, want 0", avg)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkGetMulti measures the shard-batched multi-get against the same
 // 16-key pipelined batch issued as per-key lookups: batching takes each
 // data shard's read lock once per batch (and one counter update per shard)
 // instead of per key.
 func BenchmarkGetMulti(b *testing.B) {
-	inner, err := NewClock(4096, 4, 2)
+	inner, err := New("clock", 4096, WithShards(4))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func TestByteModeLargeInsertEvictsMany(t *testing.T) {
 func TestByteQDLPSizeAwareAdmission(t *testing.T) {
 	// One shard, 10000 bytes: probation 1000, admission threshold 500
 	// (default AdmitFrac 0.5), main 9000.
-	c, err := NewByteQDLP(10000, 1, QDLPOptions{})
+	c, err := New("qdlp", 0, WithMaxBytes(10000), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,14 @@
 // All caches are sharded; the comparison keeps sharding identical so the
 // measured difference is the per-hit metadata discipline, exactly the
 // paper's argument.
+//
+// Each algorithm has one implementation, in the list form the simulator
+// (internal/policy) runs, so a one-shard cache decides exactly as the
+// simulator does: LRU moves to front, CLOCK is FIFO-Reinsertion, SIEVE
+// keeps its hand, and QD-LP-FIFO is a probationary FIFO in front of a
+// CLOCK main plus the simulator's own ghost (internal/ghost). Each shard
+// has one budget whose unit New fixes: one per object under
+// WithMaxEntries, the object's EntryCost under WithMaxBytes.
 package concurrent
 
 import (
@@ -82,19 +90,40 @@ func shardCount(requested int) int {
 	return n
 }
 
-// splitCapacity divides capacity across shards exactly: every shard gets at
-// least one slot, the first capacity%shards shards get one extra, and the
-// per-shard capacities sum to capacity (so the aggregate never exceeds the
-// configured value).
-func splitCapacity(capacity, shards int) ([]int, error) {
-	if capacity < shards {
-		return nil, fmt.Errorf("concurrent: capacity %d below shard count %d", capacity, shards)
+// EntryOverhead is the fixed per-object byte cost added to
+// len(key)+len(value) when a byte-capped cache accounts an object: an
+// approximation of the map entry, pooled entry struct, buffer slack, and
+// policy node a cached object really costs beyond its payload.
+const EntryOverhead = 64
+
+// EntryCost is the accounted byte cost of one cached object — the value
+// the KV adapter feeds the inner policy's Set.
+func EntryCost(keyLen, valueLen int) int64 {
+	return int64(keyLen) + int64(valueLen) + EntryOverhead
+}
+
+// minShardBytes is the smallest per-shard byte budget that still fits at
+// least one small object (cost = key+value+EntryOverhead).
+const minShardBytes = 2 * EntryOverhead
+
+// splitBudget divides a budget across shards exactly: the first
+// total%shards shards get one extra unit, and the per-shard budgets sum to
+// total (so the aggregate never exceeds the configured value). Every shard
+// must get at least one object: one unit in entry mode, minShardBytes in
+// byte mode.
+func splitBudget(total int64, shards int, bytes bool) ([]int64, error) {
+	switch {
+	case bytes && total < int64(shards)*minShardBytes:
+		return nil, fmt.Errorf("concurrent: byte budget %d below %d bytes per shard over %d shards (use fewer shards or a larger -max-bytes)",
+			total, minShardBytes, shards)
+	case total < int64(shards):
+		return nil, fmt.Errorf("concurrent: capacity %d below shard count %d", total, shards)
 	}
-	base, extra := capacity/shards, capacity%shards
-	per := make([]int, shards)
+	base, extra := total/int64(shards), total%int64(shards)
+	per := make([]int64, shards)
 	for i := range per {
 		per[i] = base
-		if i < extra {
+		if int64(i) < extra {
 			per[i]++
 		}
 	}

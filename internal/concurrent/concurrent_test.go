@@ -9,23 +9,15 @@ import (
 
 func caches(t *testing.T, capacity, shards int) []Cache {
 	t.Helper()
-	lru, err := NewLRU(capacity, shards)
-	if err != nil {
-		t.Fatal(err)
+	var out []Cache
+	for _, name := range []string{"lru", "clock", "qdlp", "sieve"} {
+		c, err := New(name, capacity, WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, c)
 	}
-	clk, err := NewClock(capacity, shards, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qd, err := NewQDLP(capacity, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := NewSieve(capacity, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Cache{lru, clk, qd, sv}
+	return out
 }
 
 func TestBasicGetSet(t *testing.T) {
@@ -67,23 +59,23 @@ func TestCapacityBound(t *testing.T) {
 }
 
 func TestBadCapacityRejected(t *testing.T) {
-	if _, err := NewLRU(2, 16); err == nil {
+	if _, err := New("lru", 2, WithShards(16)); err == nil {
 		t.Fatal("capacity < shards accepted (lru)")
 	}
-	if _, err := NewClock(2, 16, 1); err == nil {
+	if _, err := New("clock", 2, WithShards(16), WithClockBits(1)); err == nil {
 		t.Fatal("capacity < shards accepted (clock)")
 	}
-	if _, err := NewQDLP(2, 16); err == nil {
+	if _, err := New("qdlp", 2, WithShards(16)); err == nil {
 		t.Fatal("capacity < shards accepted (qdlp)")
 	}
-	if _, err := NewSieve(2, 16); err == nil {
+	if _, err := New("sieve", 2, WithShards(16)); err == nil {
 		t.Fatal("capacity < shards accepted (sieve)")
 	}
 }
 
 // SIEVE keeps visited keys across a sweep and retains the hand position.
 func TestSieveVisitedSurvives(t *testing.T) {
-	c, err := NewSieve(4, 1)
+	c, err := New("sieve", 4, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +131,9 @@ func TestConcurrentIntegrity(t *testing.T) {
 }
 
 // The QDLP ghost path: a key seen, demoted, and seen again lands in the
-// main ring.
+// main queue.
 func TestQDLPGhostReadmission(t *testing.T) {
-	c, err := NewQDLP(64, 1) // one shard: small 6, main 58
+	c, err := New("qdlp", 64, WithShards(1)) // one shard: small 6, main 58
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +146,10 @@ func TestQDLPGhostReadmission(t *testing.T) {
 		t.Fatal("key 1 should have been demoted")
 	}
 	c.Set(1, 11)
-	s := &c.shards[0]
-	l, ok := s.byKey[1]
-	if !ok || l.where != locMain {
-		t.Fatalf("ghost readmission failed: %+v ok=%v", l, ok)
+	s := &c.(*cache).shards[0]
+	i, ok := s.byKey[1]
+	if !ok || s.nodes[i].q != mainQueue {
+		t.Fatalf("ghost readmission failed: ok=%v", ok)
 	}
 	if v, ok := c.Get(1); !ok || v != 11 {
 		t.Fatalf("Get(1) = %d,%v after readmission", v, ok)
@@ -167,7 +159,7 @@ func TestQDLPGhostReadmission(t *testing.T) {
 // CLOCK reinsertion in the concurrent cache: a hot key survives a stream
 // of cold inserts.
 func TestClockKeepsHotKey(t *testing.T) {
-	c, err := NewClock(64, 1, 2)
+	c, err := New("clock", 64, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +176,7 @@ func TestClockKeepsHotKey(t *testing.T) {
 }
 
 func TestMeasureThroughput(t *testing.T) {
-	c, err := NewQDLP(4096, 8)
+	c, err := New("qdlp", 4096, WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +207,7 @@ func TestZipfStreamsExactTotal(t *testing.T) {
 			t.Errorf("workers=%d total=%d: streams sum to %d", tc.workers, tc.total, sum)
 		}
 	}
-	c, err := NewQDLP(256, 4)
+	c, err := New("qdlp", 256, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +231,11 @@ func TestSplitCapacityExact(t *testing.T) {
 			}
 		}
 	}
-	per, err := splitCapacity(100, 16)
+	per, err := splitBudget(100, 16, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := 0
+	sum := int64(0)
 	for _, p := range per {
 		if p < 1 {
 			t.Fatalf("shard with %d slots", p)
@@ -290,10 +282,11 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-// Deleting from the middle of QDLP's probationary ring leaves a tombstone;
-// the ring must stay consistent through subsequent fills and demotions.
+// Deleting from the middle of QDLP's probationary FIFO must leave it
+// consistent through subsequent fills and demotions, with no tombstone
+// holding a slot.
 func TestQDLPDeleteTombstone(t *testing.T) {
-	c, err := NewQDLP(64, 1) // one shard: small 6, main 58
+	c, err := New("qdlp", 64, WithShards(1)) // one shard: small 6, main 58
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +299,11 @@ func TestQDLPDeleteTombstone(t *testing.T) {
 	if c.Len() != 5 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	// Push the whole ring through: tombstone must be skipped silently.
+	c.Set(7, 7) // fits in the freed slot: no demotion
+	if ev := c.Stats().Evictions; ev != 0 {
+		t.Fatalf("insert after delete evicted %d objects", ev)
+	}
+	// Push the whole FIFO through: the hole must not hold a slot.
 	for k := uint64(10); k < 30; k++ {
 		c.Set(k, k)
 	}

@@ -17,7 +17,7 @@ func kinds(evs []obs.Event) []obs.EventKind {
 
 // The QDLP lifecycle the paper's Figure 2 describes, replayed through the
 // recorder: a one-hit-wonder is admitted to probation, demoted to the ghost
-// FIFO with reason probation-overflow, and readmitted to the main ring when
+// FIFO with reason probation-overflow, and readmitted to the main queue when
 // it is seen again.
 func TestQDLPLifecycleEvents(t *testing.T) {
 	rec := obs.NewRecorder(1, 256)
@@ -29,7 +29,7 @@ func TestQDLPLifecycleEvents(t *testing.T) {
 	for k := uint64(2); k < 10; k++ { // push key 1 through probation untouched
 		c.Set(k, k)
 	}
-	c.Set(1, 11) // ghost hit: straight to the main ring
+	c.Set(1, 11) // ghost hit: straight to the main queue
 
 	evs := rec.KeyEvents(1, 0)
 	want := []obs.EventKind{obs.EvAdmit, obs.EvDemoteGhost, obs.EvGhostReadmit}

@@ -84,15 +84,3 @@ func xxMergeRound(acc, val uint64) uint64 {
 	acc ^= xxRound(0, val)
 	return acc*xxPrime1 + xxPrime4
 }
-
-// digestFNV is the previous digest (FNV-1a, one multiply per byte). It is
-// retained as the baseline BenchmarkDigest compares Digest against, so the
-// wide-hash speedup stays visible in `go test -bench`.
-func digestFNV(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}

@@ -2,16 +2,15 @@ package concurrent
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/obs"
 )
 
-// config collects the functional options New applies before dispatching to
-// a policy factory. Option relevance is tracked explicitly so a factory can
-// reject options that do not apply to its policy instead of silently
-// ignoring them — a misconfigured benchmark is worse than a loud error.
+// config collects the functional options New applies. Option relevance is
+// tracked explicitly so New can reject options that do not apply to the
+// chosen policy instead of silently ignoring them — a misconfigured
+// benchmark is worse than a loud error.
 type config struct {
 	shards        int
 	clockBits     int
@@ -48,7 +47,7 @@ func WithShards(n int) Option {
 
 // WithClockBits sets the CLOCK counter width in bits, 1–6 (1 =
 // FIFO-Reinsertion, 2 = the paper's choice). It applies to the clock policy
-// (the ring's counters) and to qdlp (the main ring's counters).
+// (its counters) and to qdlp (the main queue's counters).
 func WithClockBits(bits int) Option {
 	return func(c *config) error {
 		if bits < 1 || bits > 6 {
@@ -62,7 +61,7 @@ func WithClockBits(bits int) Option {
 }
 
 // WithQDLPOptions sets the QD-LP-FIFO parameters (probation share, ghost
-// factor, main-ring CLOCK bits). It applies only to the qdlp policy.
+// factor, main-queue CLOCK bits). It applies only to the qdlp policy.
 func WithQDLPOptions(opts QDLPOptions) Option {
 	return func(c *config) error {
 		if c.clockBitsSet && opts.ClockBits == 0 {
@@ -76,9 +75,9 @@ func WithQDLPOptions(opts QDLPOptions) Option {
 
 // WithMaxBytes caps the cache by accounted bytes instead of object count
 // (cost = len(key)+len(value)+EntryOverhead per object when driven by
-// the KV adapter; see EntryCost). It applies to every policy, selecting
-// the policy's byte-capped implementation, and is mutually exclusive
-// with WithMaxEntries and with a nonzero positional capacity.
+// the KV adapter; see EntryCost). It applies to every policy, making
+// accounted bytes the budget unit, and is mutually exclusive with
+// WithMaxEntries and with a nonzero positional capacity.
 func WithMaxBytes(n int64) Option {
 	return func(c *config) error {
 		if n <= 0 {
@@ -90,8 +89,7 @@ func WithMaxBytes(n int64) Option {
 }
 
 // WithMaxEntries caps the cache by object count — the named form of the
-// positional capacity argument, which remains as a deprecated alias.
-// Mutually exclusive with WithMaxBytes and with a nonzero positional
+// positional capacity argument. Mutually exclusive with WithMaxBytes and with a nonzero positional
 // capacity.
 func WithMaxEntries(n int) Option {
 	return func(c *config) error {
@@ -114,37 +112,8 @@ func WithRecorder(rec *obs.Recorder) Option {
 	}
 }
 
-// Factory constructs one policy's cache from the validated option set.
-type Factory func(capacity int, cfg config) (Cache, error)
-
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-)
-
-// Register adds a named cache factory to the registry. Like core.Register
-// it panics on a duplicate name: registration happens in init functions
-// where a duplicate is a programming error.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("concurrent: duplicate cache registration %q", name))
-	}
-	factories[name] = f
-}
-
-// Names returns the registered cache policy names in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names returns the cache policy names in sorted order.
+func Names() []string { return append([]string(nil), kindNames[:]...) }
 
 // New constructs the named thread-safe cache — the concurrent counterpart
 // of core.New. Policy-specific knobs are functional options; an option that
@@ -154,9 +123,9 @@ func Names() []string {
 //	c, err := concurrent.New("qdlp", 0, concurrent.WithMaxBytes(512<<20))
 //	c, err := concurrent.New("qdlp", 0, concurrent.WithMaxEntries(1<<20))
 //
-// The capacity argument is a deprecated positional alias for
-// WithMaxEntries: exactly one of {nonzero capacity, WithMaxEntries,
-// WithMaxBytes} must be given.
+// The capacity argument is a positional alias for WithMaxEntries: exactly
+// one of {nonzero capacity, WithMaxEntries, WithMaxBytes} must be given,
+// and it fixes the budget unit — objects, or accounted bytes.
 func New(policy string, capacity int, opts ...Option) (Cache, error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {
@@ -176,68 +145,46 @@ func New(policy string, capacity int, opts ...Option) (Cache, error) {
 	case cfg.maxBytes == 0 && capacity <= 0:
 		return nil, fmt.Errorf("concurrent: capacity must be set via WithMaxBytes, WithMaxEntries, or the positional argument")
 	}
-	regMu.RLock()
-	f, ok := factories[policy]
-	regMu.RUnlock()
-	if !ok {
+	i := slices.Index(kindNames[:], policy)
+	if i < 0 {
 		return nil, fmt.Errorf("concurrent: unknown cache policy %q (known: %v)", policy, Names())
 	}
-	c, err := f(capacity, cfg)
+	k := kind(i)
+	if cfg.clockBitsSet && k != kindClock && k != kindQDLP {
+		return nil, fmt.Errorf("concurrent: policy %q does not take WithClockBits", policy)
+	}
+	if cfg.qdlpSet && k != kindQDLP {
+		return nil, fmt.Errorf("concurrent: policy %q does not take WithQDLPOptions", policy)
+	}
+	bytes := cfg.maxBytes > 0
+	shards := shardCount(cfg.shards)
+	total := int64(capacity)
+	if bytes {
+		total = cfg.maxBytes
+	}
+	budgets, err := splitBudget(total, shards, bytes)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.recorder != nil {
-		c.SetRecorder(cfg.recorder)
+	var c *cache
+	switch k {
+	case kindClock:
+		c = newCache(k, budgets, bytes, uint32(1<<cfg.clockBits-1))
+	case kindQDLP:
+		q, err := cfg.qdlp.withDefaults(bytes)
+		if err != nil {
+			return nil, err
+		}
+		if !bytes && total < 2*int64(shards) {
+			return nil, fmt.Errorf("concurrent: qdlp needs >= 2 objects per shard, got capacity %d over %d shards", total, shards)
+		}
+		c = newCache(k, budgets, bytes, uint32(1<<q.ClockBits-1))
+		for i := range c.shards {
+			c.shards[i].splitQDLP(q)
+		}
+	default: // LRU ignores the counter; SIEVE's is one visited bit
+		c = newCache(k, budgets, bytes, 1)
 	}
+	c.rec = cfg.recorder
 	return c, nil
-}
-
-// rejectOptions errors when an option irrelevant to the policy was set.
-func rejectOptions(policy string, cfg config, clockBits, qdlp bool) error {
-	if cfg.clockBitsSet && !clockBits {
-		return fmt.Errorf("concurrent: policy %q does not take WithClockBits", policy)
-	}
-	if cfg.qdlpSet && !qdlp {
-		return fmt.Errorf("concurrent: policy %q does not take WithQDLPOptions", policy)
-	}
-	return nil
-}
-
-func init() {
-	Register("lru", func(capacity int, cfg config) (Cache, error) {
-		if err := rejectOptions("lru", cfg, false, false); err != nil {
-			return nil, err
-		}
-		if cfg.maxBytes > 0 {
-			return NewByteLRU(cfg.maxBytes, cfg.shards)
-		}
-		return NewLRU(capacity, cfg.shards)
-	})
-	Register("clock", func(capacity int, cfg config) (Cache, error) {
-		if err := rejectOptions("clock", cfg, true, false); err != nil {
-			return nil, err
-		}
-		if cfg.maxBytes > 0 {
-			return NewByteClock(cfg.maxBytes, cfg.shards, cfg.clockBits)
-		}
-		return NewClock(capacity, cfg.shards, cfg.clockBits)
-	})
-	Register("sieve", func(capacity int, cfg config) (Cache, error) {
-		if err := rejectOptions("sieve", cfg, false, false); err != nil {
-			return nil, err
-		}
-		if cfg.maxBytes > 0 {
-			return NewByteSieve(cfg.maxBytes, cfg.shards)
-		}
-		return NewSieve(capacity, cfg.shards)
-	})
-	Register("qdlp", func(capacity int, cfg config) (Cache, error) {
-		if err := rejectOptions("qdlp", cfg, true, true); err != nil {
-			return nil, err
-		}
-		if cfg.maxBytes > 0 {
-			return NewByteQDLP(cfg.maxBytes, cfg.shards, cfg.qdlp)
-		}
-		return NewQDLPWithOptions(capacity, cfg.shards, cfg.qdlp)
-	})
 }

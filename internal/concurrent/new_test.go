@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// Every registered policy must construct through New, honour WithShards,
+// Every policy must construct through New, honour WithShards,
 // and round-trip a basic Set/Get.
 func TestNewConstructsEveryPolicy(t *testing.T) {
 	names := Names()
 	if len(names) < 4 {
-		t.Fatalf("registry too small: %v", names)
+		t.Fatalf("too few policies: %v", names)
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
@@ -77,7 +77,7 @@ func TestNewOptionMatrix(t *testing.T) {
 	}
 }
 
-// WithClockBits must actually reach the ring: with 1-bit counters a slot's
+// WithClockBits must actually reach the counters: with 1-bit counters a slot's
 // frequency saturates at 1, with 6 bits at 63.
 func TestWithClockBitsApplied(t *testing.T) {
 	for _, tc := range []struct {
@@ -88,7 +88,7 @@ func TestWithClockBitsApplied(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.(*Clock).maxFreq; got != tc.maxFreq {
+		if got := c.(*cache).maxFreq; got != tc.maxFreq {
 			t.Errorf("bits=%d: maxFreq = %d, want %d", tc.bits, got, tc.maxFreq)
 		}
 	}
@@ -106,14 +106,4 @@ func TestNewUnknownPolicyListsNames(t *testing.T) {
 			t.Errorf("error %q does not mention %q", err, name)
 		}
 	}
-}
-
-// Duplicate registration is a programming error and must panic.
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Register("lru", func(capacity int, cfg config) (Cache, error) { return nil, nil })
 }

@@ -112,7 +112,7 @@ func New(capacity int, opts Options, mainNew func(mainCap int) core.Policy) *Pol
 		probCap:   probCap,
 		main:      mainNew(mainCap),
 		probByKey: make(map[uint64]*dlist.Node[probEntry], probCap),
-		ghost:     ghost.New(int(float64(mainCap) * opts.GhostFactor)),
+		ghost:     ghost.New(int64(float64(mainCap) * opts.GhostFactor)),
 	}
 	p.name = "qd-" + p.main.Name()
 	if sink, ok := p.main.(core.EventSink); ok {
@@ -217,6 +217,6 @@ func (p *Policy) evictProbation(now int64) {
 		p.suppressInsert = false
 		return
 	}
-	p.ghost.Add(e.key)
+	p.ghost.Add(e.key, 1)
 	p.Evict(e.key, now)
 }

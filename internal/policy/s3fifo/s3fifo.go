@@ -65,7 +65,7 @@ func New(capacity int) *Policy {
 		capacity: capacity,
 		smallCap: smallCap,
 		byKey:    make(map[uint64]*dlist.Node[entry], capacity),
-		ghost:    ghost.New(mainCap),
+		ghost:    ghost.New(int64(mainCap)),
 	}
 }
 
@@ -134,7 +134,7 @@ func (p *Policy) evictSmall(now int64) {
 			continue
 		}
 		delete(p.byKey, e.key)
-		p.ghost.Add(e.key)
+		p.ghost.Add(e.key, 1)
 		p.Evict(e.key, now)
 		return
 	}

@@ -66,7 +66,7 @@ func New(capacity int, kinFrac, koutFrac float64) *Policy {
 		capacity: capacity,
 		kin:      kin,
 		byKey:    make(map[uint64]*dlist.Node[entry], capacity),
-		a1out:    ghost.New(kout),
+		a1out:    ghost.New(int64(kout)),
 	}
 }
 
@@ -122,7 +122,7 @@ func (p *Policy) makeRoom(now int64) {
 		victim := p.a1in.Front()
 		delete(p.byKey, victim.Value.key)
 		p.a1in.Remove(victim)
-		p.a1out.Add(victim.Value.key)
+		p.a1out.Add(victim.Value.key, 1)
 		p.Evict(victim.Value.key, now)
 		return
 	}
@@ -136,6 +136,6 @@ func (p *Policy) makeRoom(now int64) {
 	victim := p.a1in.Front()
 	delete(p.byKey, victim.Value.key)
 	p.a1in.Remove(victim)
-	p.a1out.Add(victim.Value.key)
+	p.a1out.Add(victim.Value.key, 1)
 	p.Evict(victim.Value.key, now)
 }

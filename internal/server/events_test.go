@@ -19,7 +19,7 @@ import (
 // exercise the admin surface (no protocol traffic, nothing to drain).
 func newAdminServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
-	inner, err := concurrent.NewQDLP(4096, 8)
+	inner, err := concurrent.New("qdlp", 4096, concurrent.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDebugEventsLifecycleEndToEnd(t *testing.T) {
 	rc.send("get watched\r\n")
 	rc.expect("END") // demoted: the one-hit wonder is gone
 	rc.send("set watched 0 0 5\r\nagain\r\n")
-	rc.expect("STORED") // ghost hit: readmitted to the main ring
+	rc.expect("STORED") // ghost hit: readmitted to the main queue
 
 	resp, err := admin.Client().Get(admin.URL + "/debug/events?key=watched&format=json&n=0")
 	if err != nil {

@@ -40,14 +40,9 @@ type Config struct {
 	WriteTimeout time.Duration
 	// MaxValueLen bounds set payloads. <=0 means DefaultMaxValueLen.
 	MaxValueLen int
-	// Logger, if set, receives the server's structured diagnostics. It
-	// takes precedence over Logf.
+	// Logger, if set, receives the server's structured diagnostics;
+	// without it they are discarded.
 	Logger *slog.Logger
-	// Logf, if set, receives connection-level diagnostics.
-	//
-	// Deprecated: set Logger instead. Logf is kept as a shim for existing
-	// callers; its lines lose level information (everything is emitted).
-	Logf func(format string, args ...any)
 	// Metrics, if set, receives the server's instruments (per-command
 	// request counters and latency histograms, transport counters, and the
 	// store's hit/miss/eviction/occupancy collectors). The registry must be
@@ -208,18 +203,12 @@ const limiterEpoch = 100 * time.Millisecond
 // control is off), for tests and admin surfaces.
 func (s *Server) Limiter() *overload.Limiter { return s.limiter }
 
-// resolveLogger picks the server's structured logger: Logger wins, a legacy
-// Logf is adapted through the obs shim, and with neither set diagnostics
-// are discarded (the pre-slog default).
+// resolveLogger returns cfg.Logger, or a logger that discards.
 func resolveLogger(cfg Config) *slog.Logger {
-	switch {
-	case cfg.Logger != nil:
+	if cfg.Logger != nil {
 		return cfg.Logger
-	case cfg.Logf != nil:
-		return obs.NewLogfLogger(cfg.Logf)
-	default:
-		return slog.New(slog.DiscardHandler)
 	}
+	return slog.New(slog.DiscardHandler)
 }
 
 // Spans exposes the server's request-span buffer (nil when tracing is

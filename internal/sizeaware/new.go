@@ -41,8 +41,8 @@ var (
 )
 
 // Register adds a named policy factory to the registry. Like
-// concurrent.Register it panics on a duplicate name: registration happens
-// in init functions where a duplicate is a programming error.
+// core.Register it panics on a duplicate name: registration happens in
+// init functions where a duplicate is a programming error.
 func Register(name string, f Factory) {
 	regMu.Lock()
 	defer regMu.Unlock()

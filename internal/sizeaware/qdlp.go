@@ -126,7 +126,7 @@ func (p *QDLP) evictProbation(now int64) {
 		p.main.Access(&req)
 		return
 	}
-	p.ghost.Add(e.key)
+	p.ghost.Add(e.key, 1)
 	// Dynamic ghost bound: as many entries as the main cache holds
 	// objects (the paper's sizing, adapted to byte capacities).
 	limit := p.main.Len()

@@ -16,13 +16,15 @@ echo '== go build ./...'
 go build ./...
 echo '== go test ./...'
 go test ./...
+echo '== go test perfbench (its own module, so ./... skips it)'
+(cd perfbench && go test .)
 echo '== go test -race (concurrent + server + obs + chaos + cluster)'
 go test -race ./internal/concurrent/... ./internal/server/... ./internal/obs/... ./internal/chaos/... ./internal/cluster/...
 echo '== alloc guard (tracing disabled = 0 allocs, sampling on <= 1, ring lookup = 0)'
 go test -run 'TestServerGetHitPathZeroAllocsWithRecorder|TestServerGetHitPathAllocsWithSampling|TestServerGetHitPathZeroAllocsWithMRCSampling' ./internal/server/
 go test -run 'TestRingLookupZeroAllocs' ./internal/cluster/
-echo '== alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs)'
-go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler' ./internal/concurrent/
+echo '== alloc guard (byte accounting + TTL wheel + MRC sampler keep the hit paths at 0 allocs; policy Set/Get at 0 in both units)'
+go test -run 'TestKVGetZeroAllocs|TestKVAppendHitZeroAllocs|TestKVGetMultiZeroAllocs|TestKVByteModeTTLZeroAllocs|TestKVGetZeroAllocsWithSampler|TestCacheSetZeroAllocs' ./internal/concurrent/
 echo '== bench smoke (one iteration per benchmark)'
 go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
 echo '== throughput sweep smoke (one point)'
