@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -228,7 +227,7 @@ func main() {
 		// was actually measured and perf trajectories are diffable across
 		// PRs (best-effort: a server without a stat leaves it zero).
 		cacheName := ""
-		srvShards, srvListeners, srvProcs := 0, 0, 0
+		var srvShards, srvListeners, srvProcs int64
 		var mrcStats map[string]string
 		statsAddr := *addr
 		if *servers != "" {
@@ -237,9 +236,9 @@ func main() {
 		if c, err := server.Dial(statsAddr); err == nil {
 			if st, err := c.Stats(); err == nil {
 				cacheName = st["cache"]
-				srvShards = atoiStat(st, "data_shards")
-				srvListeners = atoiStat(st, "listeners")
-				srvProcs = atoiStat(st, "gomaxprocs")
+				srvShards, _ = server.StatInt(st, "data_shards")
+				srvListeners, _ = server.StatInt(st, "listeners")
+				srvProcs, _ = server.StatInt(st, "gomaxprocs")
 			}
 			// A server running with -mrc-sample carries capacity-planning
 			// signals; one without (or an older one answering CLIENT_ERROR)
@@ -255,16 +254,16 @@ func main() {
 			Bench:      "cacheload",
 			GoVersion:  runtime.Version(),
 			NumCPU:     runtime.NumCPU(),
-			GoMaxProcs: srvProcs,
-			Shards:     srvShards,
-			Listeners:  srvListeners,
+			GoMaxProcs: int(srvProcs),
+			Shards:     int(srvShards),
+			Listeners:  int(srvListeners),
 			KeySpace:   *keySpace,
 			ValueLen:   valueLen,
 			Regenerate: fmt.Sprintf("go run ./cmd/cacheload -addr %s -conns %d -ops %d -json <path>", *addr, *conns, *ops),
 			Entries: []stats.BenchEntry{{
 				Cache:       cacheName,
 				Conns:       *conns,
-				Listeners:   srvListeners,
+				Listeners:   int(srvListeners),
 				Ops:         res.Ops,
 				OpsPerSec:   res.OpsPerSecond(),
 				NsPerOp:     float64(res.Elapsed.Nanoseconds()) / float64(max(res.Ops, 1)),
@@ -277,12 +276,12 @@ func main() {
 		}
 		if mrcStats != nil {
 			e := &file.Entries[0]
-			e.MRCSampleRate = floatStat(mrcStats, "rate")
-			e.PredictedHit05x = floatStat(mrcStats, "predicted_hit_0.5x")
-			e.PredictedHit1x = floatStat(mrcStats, "predicted_hit_1x")
-			e.PredictedHit2x = floatStat(mrcStats, "predicted_hit_2x")
-			e.PredictedHit4x = floatStat(mrcStats, "predicted_hit_4x")
-			e.MarginalHitPerMiB = floatStat(mrcStats, "marginal_hit_per_mib")
+			e.MRCSampleRate, _ = server.StatFloat(mrcStats, "rate")
+			e.PredictedHit05x, _ = server.StatFloat(mrcStats, "predicted_hit_0.5x")
+			e.PredictedHit1x, _ = server.StatFloat(mrcStats, "predicted_hit_1x")
+			e.PredictedHit2x, _ = server.StatFloat(mrcStats, "predicted_hit_2x")
+			e.PredictedHit4x, _ = server.StatFloat(mrcStats, "predicted_hit_4x")
+			e.MarginalHitPerMiB, _ = server.StatFloat(mrcStats, "marginal_hit_per_mib")
 		}
 		if err := stats.WriteBenchFile(*jsonOut, file); err != nil {
 			fatal("bench artifact write failed", err)
@@ -305,25 +304,6 @@ func main() {
 			fatal("metrics write failed", err)
 		}
 	}
-}
-
-// atoiStat reads an integer STAT value, zero when absent or malformed —
-// older servers simply don't report the newer config stats.
-func atoiStat(st map[string]string, key string) int {
-	n, err := strconv.Atoi(st[key])
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// floatStat reads a float STAT value, zero when absent or malformed.
-func floatStat(st map[string]string, key string) float64 {
-	v, err := strconv.ParseFloat(st[key], 64)
-	if err != nil {
-		return 0
-	}
-	return v
 }
 
 // splitEndpoints parses -servers, trimming blanks so trailing commas are

@@ -9,10 +9,10 @@
 //
 // The admin listener serves Prometheus metrics at /metrics (per-command
 // request counters and latency histograms, per-policy hit/miss/eviction
-// counters, per-shard occupancy), liveness at /healthz, expvar at
-// /debug/vars, profiles at /debug/pprof, and — when -events/-trace-sample
-// are on — lifecycle events and request spans at /debug/events with a
-// per-key live watch at /debug/trace.
+// counters, per-shard occupancy, and every number the stats command
+// prints), liveness at /healthz, profiles at /debug/pprof, and — when
+// -events/-trace-sample are on — lifecycle events and request spans at
+// /debug/events with a per-key live watch at /debug/trace.
 //
 // Overload control is opt-in: -target-p99 arms an adaptive AIMD admission
 // limiter that sheds excess load (SERVER_ERROR busy, misses under deep
@@ -30,7 +30,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -65,7 +64,7 @@ func main() {
 		listeners   = flag.Int("listeners", 0, "SO_REUSEPORT listeners, one accept loop and shard partition each (0 = GOMAXPROCS)")
 		pinShards   = flag.Bool("pin-shards", false, "pin each connection handler's OS thread to its partition's core (Linux; costs a thread per connection)")
 		batchIO     = flag.Bool("batch-io", true, "merge pipelined gets into shard-batched lookups and flush responses with writev")
-		adminAddr   = flag.String("admin-addr", "", "optional HTTP admin address (/metrics, /healthz, /debug/vars, /debug/events, /debug/trace, /debug/mrc, /debug/series, /debug/pprof)")
+		adminAddr   = flag.String("admin-addr", "", "optional HTTP admin address (/metrics, /healthz, /debug/events, /debug/trace, /debug/mrc, /debug/series, /debug/pprof)")
 		drain       = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
 		logLevel    = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text|json")
@@ -215,7 +214,6 @@ func main() {
 	}
 
 	if *adminAddr != "" {
-		expvar.Publish("cacheserver", srv.ExpvarMap())
 		mux := srv.AdminMux(reg)
 		if router != nil {
 			mux.Handle("/cluster", router.AdminHandler())
@@ -232,25 +230,17 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
+	attrs := []any{"addr", *addr}
 	if router != nil {
-		lg.Info("starting",
-			"mode", "router", "addr", *addr,
-			"nodes", *route, "replicas", *replicas, "hot_threshold", *hotThresh, "vnodes", *vnodes,
-			slog.Group("obs", "events", *events, "trace_sample", *traceSample, "slow_request", slow.String()))
+		attrs = append(attrs, "mode", "router",
+			"nodes", *route, "replicas", *replicas, "hot_threshold", *hotThresh, "vnodes", *vnodes)
+	} else if maxBytes := store.Stats().MaxBytes; maxBytes > 0 {
+		attrs = append(attrs, "cache", store.Name(), "max_bytes", units.FormatBytes(maxBytes), "shards", *shards)
 	} else {
-		snap := store.Stats()
-		if snap.MaxBytes > 0 {
-			lg.Info("starting",
-				"cache", store.Name(), "addr", *addr,
-				"max_bytes", units.FormatBytes(snap.MaxBytes), "shards", *shards,
-				slog.Group("obs", "events", *events, "trace_sample", *traceSample, "slow_request", slow.String()))
-		} else {
-			lg.Info("starting",
-				"cache", store.Name(), "addr", *addr,
-				"capacity", store.Capacity(), "shards", *shards,
-				slog.Group("obs", "events", *events, "trace_sample", *traceSample, "slow_request", slow.String()))
-		}
+		attrs = append(attrs, "cache", store.Name(), "capacity", store.Capacity(), "shards", *shards)
 	}
+	lg.Info("starting", append(attrs,
+		slog.Group("obs", "events", *events, "trace_sample", *traceSample, "slow_request", slow.String()))...)
 
 	select {
 	case err := <-errCh:

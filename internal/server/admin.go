@@ -1,7 +1,6 @@
 package server
 
 import (
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 
@@ -14,7 +13,6 @@ import (
 //
 //	/metrics       Prometheus text exposition of reg
 //	/healthz       200 while serving, 503 once draining
-//	/debug/vars    expvar (process-global)
 //	/debug/events  retained lifecycle events + sampled request spans
 //	/debug/trace   one key's lifecycle history, optionally followed live
 //	/debug/mrc     online SHARDS miss-ratio curve + capacity signals
@@ -37,7 +35,6 @@ func (s *Server) AdminMux(reg *metrics.Registry) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	// The events endpoints stay mounted with tracing off: they answer with
 	// empty sections, so dashboards need not special-case the config.
 	mux.HandleFunc("/debug/events", s.handleDebugEvents)

@@ -501,11 +501,10 @@ func resolveExptime(exptime, now int64) (expireAt int64, expired bool) {
 	}
 }
 
-// writeStats renders the stats response: server counters plus the store's
-// gauges. The snapshot is not atomic across counters, but each counter is
-// itself exact.
+// writeStats renders the stats response: a fixed header describing the
+// server, then one line per counterTable row. The snapshot is not atomic
+// across counters, but each counter is itself exact.
 func (s *Server) writeStats(bw respWriter) {
-	snap := s.cfg.Store.Stats()
 	writeStatString(bw, "cache", s.cfg.Store.Name())
 	writeStatString(bw, "version", Version)
 	writeStat(bw, "uptime_seconds", int64(time.Since(s.start).Seconds()))
@@ -517,43 +516,11 @@ func (s *Server) writeStats(bw respWriter) {
 	} else {
 		writeStat(bw, "batch_io", 1)
 	}
-	writeStat(bw, "capacity_items", int64(s.cfg.Store.Capacity()))
-	writeStat(bw, "curr_items", s.cfg.Store.Items())
-	writeStat(bw, "curr_bytes", s.cfg.Store.Bytes())
-	writeStat(bw, "used_bytes", snap.UsedBytes)
-	writeStat(bw, "max_bytes", snap.MaxBytes)
-	writeStat(bw, "expired_proactive", snap.Expired)
-	writeStat(bw, "evictions", snap.Evictions)
-	writeStat(bw, "cmd_get", s.counters.Gets.Load())
-	writeStat(bw, "get_hits", s.counters.GetHits.Load())
-	writeStat(bw, "get_misses", s.counters.GetMisses.Load())
-	writeStat(bw, "cmd_set", s.counters.Sets.Load())
-	writeStat(bw, "cmd_delete", s.counters.Deletes.Load())
-	writeStat(bw, "delete_hits", s.counters.DeleteHits.Load())
-	writeStat(bw, "cmd_touch", s.counters.Touches.Load())
-	writeStat(bw, "touch_hits", s.counters.TouchHits.Load())
-	writeStat(bw, "bad_commands", s.counters.BadCommands.Load())
-	writeStat(bw, "bytes_read", s.counters.BytesRead.Load())
-	writeStat(bw, "bytes_written", s.counters.BytesWritten.Load())
-	writeStat(bw, "curr_connections", s.counters.CurrConns.Load())
-	writeStat(bw, "total_connections", s.counters.TotalConns.Load())
-	writeStat(bw, "rejected_connections", s.counters.RejectedConns.Load())
-	writeStat(bw, "conns_slow_closed", s.counters.SlowConnsClosed.Load())
-	writeStat(bw, "accept_retries", s.counters.AcceptRetries.Load())
-	writeStat(bw, "panics", s.counters.Panics.Load())
-	writeStat(bw, "flushes", s.counters.Flushes.Load())
-	writeStat(bw, "batches", s.counters.Batches.Load())
-	writeStat(bw, "batched_requests", s.counters.BatchedReqs.Load())
-	writeStat(bw, "local_ops", s.counters.LocalOps.Load())
-	writeStat(bw, "cross_core_ops", s.counters.CrossCoreOps.Load())
-	if l := s.limiter; l != nil {
-		lsnap := l.Snapshot()
-		writeStat(bw, "limiter_limit", int64(lsnap.Limit))
-		writeStat(bw, "limiter_inflight", int64(lsnap.Inflight))
-		writeStat(bw, "limiter_pending", int64(lsnap.Pending))
-		writeStat(bw, "pressure_level", int64(lsnap.Level))
-		writeStat(bw, "shed_total", lsnap.ShedTotal)
-		writeStat(bw, "breach_epochs", lsnap.BreachEpochs)
+	v := s.view(fromStore | fromLimiter)
+	for i := range counterTable {
+		if r := &counterTable[i]; s.hasRows(r.group) {
+			writeStat(bw, r.stat, r.read(&v))
+		}
 	}
 	writeEnd(bw)
 }

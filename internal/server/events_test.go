@@ -72,25 +72,35 @@ seq=1 start=2500 key=000000000000002a op=set outcome=stored slow=true parse_ns=1
 	}
 }
 
+// /debug/vars is retired: every server number is on stats and /metrics,
+// and the heap figure soak checks read comes from the pprof heap page.
 func TestAdminDebugVars(t *testing.T) {
 	srv := newAdminServer(t, nil)
 	admin := httptest.NewServer(srv.AdminMux(nil))
 	defer admin.Close()
 
-	resp, err := admin.Client().Get(admin.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := admin.Client().Get(admin.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars status = %d", resp.StatusCode)
+	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars status = %d, want 404", code)
 	}
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
+	code, body := get("/debug/pprof/heap?debug=1")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/pprof/heap status = %d", code)
 	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Error("/debug/vars missing memstats")
+	if !strings.Contains(body, "\n# HeapAlloc = ") {
+		t.Error("/debug/pprof/heap?debug=1 missing the # HeapAlloc line")
 	}
 }
 

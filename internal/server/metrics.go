@@ -3,7 +3,6 @@ package server
 import (
 	"strconv"
 
-	"repro/internal/concurrent"
 	"repro/internal/metrics"
 	"repro/internal/overload"
 )
@@ -20,26 +19,14 @@ const (
 	// seconds (labels: side, cmd), bucketed by metrics.DefLatencyBuckets on
 	// both sides.
 	MetricRequestDuration = "cache_request_duration_seconds"
-	// MetricHits / MetricMisses partition lookups (labels: side, and
-	// policy on the server side).
+	// MetricHits / MetricMisses partition lookups and MetricSets counts
+	// writes (labels: side, and policy on the server side).
 	MetricHits   = "cache_hits_total"
 	MetricMisses = "cache_misses_total"
-	// MetricSets and MetricDeletes count store mutations.
-	MetricSets    = "cache_sets_total"
-	MetricDeletes = "cache_deletes_total"
-	// MetricEvictions counts capacity evictions (server only).
-	MetricEvictions = "cache_evictions_total"
+	MetricSets   = "cache_sets_total"
 
-	// Server-only occupancy gauges. UsedBytes/MaxBytes are the accounted
-	// byte budget (key+value+EntryOverhead per object; MaxBytes is 0 for
-	// entry-capped caches), as opposed to MetricValueBytes which is raw
-	// value payload.
-	MetricItems            = "cache_items"
-	MetricValueBytes       = "cache_value_bytes"
-	MetricCapacityItems    = "cache_capacity_items"
-	MetricUsedBytes        = "cache_used_bytes"
-	MetricMaxBytes         = "cache_max_bytes"
-	MetricExpiredProactive = "cache_expired_proactive_total"
+	// The server's own scalar families (store occupancy, transport,
+	// resilience, batching, limiter gauges) are named in counterTable.
 
 	// Per-shard policy-plane balance (labels: policy, shard).
 	MetricShardItems     = "cache_shard_items"
@@ -53,30 +40,6 @@ const (
 	MetricObsSpans         = "cache_obs_spans_total"
 	MetricObsSpansDropped  = "cache_obs_spans_dropped_total"
 	MetricObsSlowRequests  = "cache_obs_slow_requests_total"
-
-	// Transport-level server counters.
-	MetricConnsCurrent  = "cache_server_connections_current"
-	MetricConnsTotal    = "cache_server_connections_total"
-	MetricConnsRejected = "cache_server_connections_rejected_total"
-	MetricBadCommands   = "cache_server_bad_commands_total"
-	MetricBytesRead     = "cache_server_value_bytes_read_total"
-	MetricBytesWritten  = "cache_server_value_bytes_written_total"
-
-	// Resilience counters: faults survived rather than propagated. All
-	// three should sit at zero in a healthy deployment.
-	MetricPanics          = "cache_server_panics_total"
-	MetricAcceptRetries   = "cache_server_accept_retries_total"
-	MetricConnsSlowClosed = "cache_server_connections_slow_closed_total"
-
-	// Batched data-plane families. batched_requests / flushes is the
-	// syscall-amortization ratio the per-core data plane optimizes;
-	// local/cross_core partition key traffic by whether the accepting
-	// listener's partition owned the key's data shard.
-	MetricFlushes      = "cache_server_flushes_total"
-	MetricBatches      = "cache_server_batches_total"
-	MetricBatchedReqs  = "cache_server_batched_requests_total"
-	MetricLocalOps     = "cache_server_local_ops_total"
-	MetricCrossCoreOps = "cache_server_cross_core_ops_total"
 
 	// Live-analytics families. cache_mrc_* expose the online SHARDS
 	// miss-ratio estimator (-mrc-sample; absent without it);
@@ -119,11 +82,7 @@ const (
 	// pressure level; the cluster tier reports per-backend breaker state
 	// (0 closed / 1 open / 2 half-open), failure-detector health and phi,
 	// ejection churn, and retry-budget exhaustion.
-	MetricShedTotal            = "cache_shed_total" // labels: side, reason
-	MetricLimiterLimit         = "cache_limiter_limit"
-	MetricLimiterInflight      = "cache_limiter_inflight"
-	MetricLimiterPending       = "cache_limiter_pending"
-	MetricPressureLevel        = "cache_pressure_level"
+	MetricShedTotal            = "cache_shed_total"                      // labels: side, reason
 	MetricBreakerState         = "cache_breaker_state"                   // labels: node
 	MetricBreakerOpens         = "cache_breaker_opens_total"             // labels: node
 	MetricNodeHealthy          = "cache_cluster_node_healthy"            // labels: node
@@ -173,34 +132,19 @@ func (s *Server) initMetrics(reg *metrics.Registry) {
 			"side", "server", "cmd", opNames[op])
 	}
 
-	reg.GaugeFunc(MetricConnsCurrent, "Open client connections.",
-		func() float64 { return float64(s.counters.CurrConns.Load()) })
-	reg.CounterFunc(MetricConnsTotal, "Connections accepted since start.",
-		s.counters.TotalConns.Load)
-	reg.CounterFunc(MetricConnsRejected, "Connections rejected over MaxConns.",
-		s.counters.RejectedConns.Load)
-	reg.CounterFunc(MetricBadCommands, "Protocol errors answered on kept connections.",
-		s.counters.BadCommands.Load)
-	reg.CounterFunc(MetricBytesRead, "Value payload bytes received in set commands.",
-		s.counters.BytesRead.Load)
-	reg.CounterFunc(MetricBytesWritten, "Value payload bytes sent in get responses.",
-		s.counters.BytesWritten.Load)
-	reg.CounterFunc(MetricPanics, "Connection-handler panics isolated (conn closed, server kept serving).",
-		s.counters.Panics.Load)
-	reg.CounterFunc(MetricAcceptRetries, "Transient accept errors survived with backoff.",
-		s.counters.AcceptRetries.Load)
-	reg.CounterFunc(MetricConnsSlowClosed, "Slow readers evicted at the write deadline.",
-		s.counters.SlowConnsClosed.Load)
-	reg.CounterFunc(MetricFlushes, "Response deliveries to the socket (writev calls in batched mode).",
-		s.counters.Flushes.Load)
-	reg.CounterFunc(MetricBatches, "Merged get dispatches (one shard-batched lookup each).",
-		s.counters.Batches.Load)
-	reg.CounterFunc(MetricBatchedReqs, "Pipelined requests covered by merged dispatches.",
-		s.counters.BatchedReqs.Load)
-	reg.CounterFunc(MetricLocalOps, "Keys served by the shard partition that owns them.",
-		s.counters.LocalOps.Load)
-	reg.CounterFunc(MetricCrossCoreOps, "Keys that crossed shard-partition boundaries.",
-		s.counters.CrossCoreOps.Load)
+	policy := s.cfg.Store.Name()
+	for i := range counterTable {
+		r := &counterTable[i]
+		if !s.hasRows(r.group) {
+			continue
+		}
+		read := func() int64 { v := s.view(r.group); return r.read(&v) }
+		if r.kind == metrics.KindGauge {
+			reg.GaugeFunc(r.metric, r.help, func() float64 { return float64(read()) }, r.metricLabels(policy)...)
+		} else {
+			reg.CounterFunc(r.metric, r.help, read, r.metricLabels(policy)...)
+		}
+	}
 
 	if l := s.limiter; l != nil {
 		for _, r := range overload.ShedReasons() {
@@ -209,14 +153,6 @@ func (s *Server) initMetrics(reg *metrics.Registry) {
 				func() int64 { return l.ShedCount(reason) },
 				"side", "server", "reason", reason.String())
 		}
-		reg.GaugeFunc(MetricLimiterLimit, "Adaptive concurrency limit (AIMD against the p99 target).",
-			func() float64 { return float64(l.Snapshot().Limit) })
-		reg.GaugeFunc(MetricLimiterInflight, "Requests currently holding a limiter slot.",
-			func() float64 { return float64(l.Snapshot().Inflight) })
-		reg.GaugeFunc(MetricLimiterPending, "Requests waiting in the bounded admission queue.",
-			func() float64 { return float64(l.Snapshot().Pending) })
-		reg.GaugeFunc(MetricPressureLevel, "Brownout pressure level (0 healthy, 1 drop writes, 2 miss-fast reads).",
-			func() float64 { return float64(l.Level()) })
 	}
 
 	if ev := s.cfg.Events; ev != nil {
@@ -229,52 +165,18 @@ func (s *Server) initMetrics(reg *metrics.Registry) {
 		reg.CounterFunc(MetricObsSlowRequests, "Spans recorded for crossing the slow-request threshold.", sp.SlowCount)
 	}
 
-	RegisterStoreMetrics(reg, s.cfg.Store)
+	registerShardMetrics(reg, s.cfg.Store)
 	s.metrics = m
 	// After s.metrics is set: the windowed families' latency percentiles
 	// read the per-command histograms registered above.
 	s.initAnalyticsMetrics(reg)
 }
 
-// RegisterStoreMetrics exposes a KV store's hit/miss/eviction/occupancy
-// snapshots as scrape-time collectors, aggregated under the policy label
-// and per shard. It is exported so non-Server embedders of concurrent.KV
-// can publish the same families.
-func RegisterStoreMetrics(reg *metrics.Registry, store Store) {
+// registerShardMetrics exposes each policy shard's occupancy and
+// evictions, the per-shard balance the counter table's aggregate rows
+// cannot show.
+func registerShardMetrics(reg *metrics.Registry, store Store) {
 	policy := store.Name()
-	stat := func(field func(concurrent.Snapshot) int64) func() int64 {
-		return func() int64 { return field(store.Stats()) }
-	}
-	reg.CounterFunc(MetricHits, "Store lookups that found the key.",
-		stat(func(s concurrent.Snapshot) int64 { return s.Hits }),
-		"side", "server", "policy", policy)
-	reg.CounterFunc(MetricMisses, "Store lookups that missed.",
-		stat(func(s concurrent.Snapshot) int64 { return s.Misses }),
-		"side", "server", "policy", policy)
-	reg.CounterFunc(MetricSets, "Store writes (inserts and overwrites).",
-		stat(func(s concurrent.Snapshot) int64 { return s.Sets }),
-		"side", "server", "policy", policy)
-	reg.CounterFunc(MetricDeletes, "Store deletes that removed a key.",
-		stat(func(s concurrent.Snapshot) int64 { return s.Deletes }),
-		"side", "server", "policy", policy)
-	reg.CounterFunc(MetricEvictions, "Objects evicted to make room.",
-		stat(func(s concurrent.Snapshot) int64 { return s.Evictions }),
-		"side", "server", "policy", policy)
-	reg.CounterFunc(MetricExpiredProactive, "Objects reclaimed proactively by the TTL timer wheel.",
-		stat(func(s concurrent.Snapshot) int64 { return s.Expired }),
-		"side", "server", "policy", policy)
-
-	reg.GaugeFunc(MetricItems, "Objects currently cached.",
-		func() float64 { return float64(store.Items()) }, "policy", policy)
-	reg.GaugeFunc(MetricValueBytes, "Value bytes currently cached.",
-		func() float64 { return float64(store.Bytes()) }, "policy", policy)
-	reg.GaugeFunc(MetricCapacityItems, "Configured capacity in objects.",
-		func() float64 { return float64(store.Capacity()) }, "policy", policy)
-	reg.GaugeFunc(MetricUsedBytes, "Accounted bytes currently cached (key+value+overhead).",
-		func() float64 { return float64(store.Stats().UsedBytes) }, "policy", policy)
-	reg.GaugeFunc(MetricMaxBytes, "Configured byte budget (0 when capped by entries).",
-		func() float64 { return float64(store.Stats().MaxBytes) }, "policy", policy)
-
 	for i := range store.ShardStats() {
 		shard := strconv.Itoa(i)
 		reg.GaugeFunc(MetricShardItems, "Objects cached in one policy shard.",

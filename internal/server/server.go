@@ -431,11 +431,20 @@ func (s *Server) acceptLoop(ln net.Listener, part int) error {
 		backoff = 0
 		s.counters.TotalConns.Add(1)
 		s.mu.Lock()
+		draining := s.draining.Load()
 		over := len(s.conns) >= s.cfg.MaxConns
-		if !over {
+		if !draining && !over {
 			s.conns[nc] = struct{}{}
+			// Add under s.mu: Shutdown sets draining before its own
+			// critical section and waits on wg after it, so every Add
+			// either happens before that Wait or is skipped.
+			s.wg.Add(1)
 		}
 		s.mu.Unlock()
+		if draining {
+			nc.Close()
+			continue
+		}
 		if over {
 			s.counters.RejectedConns.Add(1)
 			s.log.Warn("connection rejected", "remote", nc.RemoteAddr().String(), "max_conns", s.cfg.MaxConns)
@@ -447,7 +456,6 @@ func (s *Server) acceptLoop(ln net.Listener, part int) error {
 			continue
 		}
 		s.counters.CurrConns.Add(1)
-		s.wg.Add(1)
 		go s.handleConn(nc, part)
 	}
 }

@@ -31,13 +31,23 @@ echo '== throughput sweep smoke (one point)'
 go run ./cmd/throughput -cores 2 -caches sieve -ops 65536 -keyspace 16384 -json - > /dev/null
 echo '== events endpoint smoke (cacheserver + cacheload + /debug/events)'
 tmpdir=$(mktemp -d)
-trap 'kill $srv_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids=""
+# Servers already stopped by their section are gone: kill's failure must
+# not trip set -e inside the trap, or the script exits 1 and leaks $tmpdir.
+cleanup() {
+    for p in $pids; do
+        kill "$p" 2>/dev/null || true
+    done
+    rm -rf "$tmpdir"
+}
+trap cleanup EXIT
 go build -o "$tmpdir/cacheserver" ./cmd/cacheserver
 go build -o "$tmpdir/cacheload" ./cmd/cacheload
 "$tmpdir/cacheserver" -addr 127.0.0.1:21311 -admin-addr 127.0.0.1:21312 \
     -max-entries 16384 -shards 8 -events 16384 -trace-sample 8 \
     -log-level warn > "$tmpdir/server.log" 2>&1 &
 srv_pid=$!
+pids="$pids $srv_pid"
 i=0
 until curl -fsS http://127.0.0.1:21312/healthz > /dev/null 2>&1; do
     i=$((i + 1))
@@ -68,17 +78,15 @@ grep -q '^cache_server_panics_total 0$' "$tmpdir/metrics.txt" \
     || { echo "cache_server_panics_total != 0 after chaos soak" >&2; exit 1; }
 kill "$srv_pid"
 echo '== cluster smoke (3 nodes + router, healthz everywhere, routed counters move)'
-node_pids=""
 for n in 1 2 3; do
     "$tmpdir/cacheserver" -addr 127.0.0.1:$((21320 + n)) -admin-addr 127.0.0.1:$((21330 + n)) \
         -max-entries 16384 -shards 8 -log-level warn > "$tmpdir/node$n.log" 2>&1 &
-    node_pids="$node_pids $!"
+    pids="$pids $!"
 done
 "$tmpdir/cacheserver" -addr 127.0.0.1:21320 -admin-addr 127.0.0.1:21330 \
     -route 127.0.0.1:21321,127.0.0.1:21322,127.0.0.1:21323 \
     -replicas 2 -hot-threshold 4 -log-level warn > "$tmpdir/router.log" 2>&1 &
-node_pids="$node_pids $!"
-trap 'kill $srv_pid $node_pids 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $!"
 for p in 21330 21331 21332 21333; do
     i=0
     until curl -fsS "http://127.0.0.1:$p/healthz" > /dev/null 2>&1; do
@@ -107,7 +115,7 @@ echo '== memory-pressure soak (byte-capped server: used <= max, heap stable)'
 "$tmpdir/cacheserver" -addr 127.0.0.1:21341 -admin-addr 127.0.0.1:21342 \
     -cache qdlp -max-bytes 8mib -shards 8 -log-level warn > "$tmpdir/bytecap.log" 2>&1 &
 bytes_pid=$!
-trap 'kill $srv_pid $node_pids $bytes_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $bytes_pid"
 i=0
 until curl -fsS http://127.0.0.1:21342/healthz > /dev/null 2>&1; do
     i=$((i + 1))
@@ -119,8 +127,8 @@ until curl -fsS http://127.0.0.1:21342/healthz > /dev/null 2>&1; do
     sleep 0.1
 done
 heap_alloc() {
-    curl -fsS http://127.0.0.1:21342/debug/vars \
-        | tr ',' '\n' | sed -n 's/.*"HeapAlloc": *\([0-9][0-9]*\).*/\1/p' | head -1
+    curl -fsS 'http://127.0.0.1:21342/debug/pprof/heap?debug=1' \
+        | sed -n 's/^# HeapAlloc = \([0-9][0-9]*\)$/\1/p' | head -1
 }
 # Footprint well past the 8 MiB budget: 16384 keys x 4 KiB values = 64 MiB.
 "$tmpdir/cacheload" -addr 127.0.0.1:21341 -conns 2 -ops 20000 -keyspace 16384 \
@@ -141,7 +149,7 @@ grep -q '^cache_expired_proactive_total' "$tmpdir/bytecap_metrics.txt" \
 # Heap must plateau once the cache is full: the second (longer) round may
 # not balloon past a generous multiple of the first.
 [ -n "$heap1" ] && [ -n "$heap2" ] \
-    || { echo "HeapAlloc missing from /debug/vars" >&2; exit 1; }
+    || { echo "HeapAlloc missing from /debug/pprof/heap" >&2; exit 1; }
 [ "$heap2" -le $((heap1 * 4 + 33554432)) ] \
     || { echo "heap grew from $heap1 to $heap2 across soak rounds" >&2; exit 1; }
 kill "$bytes_pid"
@@ -149,7 +157,7 @@ echo '== per-core data plane smoke (2 listeners: healthz, cross-core + writev co
 "$tmpdir/cacheserver" -addr 127.0.0.1:21351 -admin-addr 127.0.0.1:21352 \
     -max-entries 16384 -shards 8 -listeners 2 -log-level warn > "$tmpdir/percore.log" 2>&1 &
 percore_pid=$!
-trap 'kill $srv_pid $node_pids $bytes_pid $percore_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $percore_pid"
 i=0
 until curl -fsS http://127.0.0.1:21352/healthz > /dev/null 2>&1; do
     i=$((i + 1))
@@ -174,7 +182,7 @@ echo '== mrc analytics smoke (cacheserver -mrc-sample: monotone /debug/mrc curve
 "$tmpdir/cacheserver" -addr 127.0.0.1:21361 -admin-addr 127.0.0.1:21362 \
     -max-entries 16384 -shards 8 -mrc-sample 0.25 -log-level warn > "$tmpdir/mrc.log" 2>&1 &
 mrc_pid=$!
-trap 'kill $srv_pid $node_pids $bytes_pid $percore_pid $mrc_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $mrc_pid"
 i=0
 until curl -fsS http://127.0.0.1:21362/healthz > /dev/null 2>&1; do
     i=$((i + 1))
@@ -210,7 +218,7 @@ echo '== overload smoke (-target-p99 server sheds a flood, stays healthy)'
     -max-entries 16384 -shards 8 -target-p99 50ms -max-inflight 1 -max-pending 2 \
     -log-level warn > "$tmpdir/overload.log" 2>&1 &
 ovl_pid=$!
-trap 'kill $srv_pid $node_pids $bytes_pid $percore_pid $mrc_pid $ovl_pid 2>/dev/null; rm -rf "$tmpdir"' EXIT
+pids="$pids $ovl_pid"
 i=0
 until curl -fsS http://127.0.0.1:21372/healthz > /dev/null 2>&1; do
     i=$((i + 1))
